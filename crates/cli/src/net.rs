@@ -3,7 +3,8 @@
 //!
 //! The daemon does not ship worlds over the wire — it ships the *world
 //! spec* (the `QueryArgs` surface, versioned text) and every process
-//! rebuilds the identical world from it via [`CliWorldBuilder`]. That
+//! builds the identical world from it via [`CliWorldBuilder`] (workers
+//! once per epoch, the daemon once per deployment). That
 //! keeps the parity argument trivial: daemon, workers, and the
 //! in-process fallback all call the same `build_world` +
 //! `prepare_live_query` path with the same inputs, so they hold
@@ -640,6 +641,32 @@ mod tests {
         assert_eq!(decoded, q);
         let q = QueryArgs::default();
         assert_eq!(decode_world_spec(&encode_world_spec(&q)).unwrap(), q);
+    }
+
+    /// The daemon builds its coordinator view once and reuses it for
+    /// every epoch; that is sound only while the world is a function of
+    /// the spec and the worker count, with the epoch stamping envelopes
+    /// and nothing else.
+    #[test]
+    fn world_build_does_not_depend_on_the_epoch() {
+        let spec = encode_world_spec(&tiny_query());
+        let view = |epoch: u64| {
+            let prepared = CliWorldBuilder.build(&spec, epoch, 2).unwrap();
+            let plan = format!("{:?}", prepared.plan);
+            let parts = prepared.engine.into_parts();
+            let heap_mins: Vec<Option<u64>> = parts.workers.iter().map(|w| w.heap_min()).collect();
+            (
+                plan,
+                parts.real_pending,
+                heap_mins,
+                parts.lookahead_us,
+                parts.classifier.is_some(),
+            )
+        };
+        let (first, later) = (view(1), view(977));
+        assert!(first.1 > 0, "a prepared world has pending start events");
+        assert_eq!(first.2.len(), 2);
+        assert_eq!(first, later);
     }
 
     #[test]

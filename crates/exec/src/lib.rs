@@ -30,4 +30,7 @@ pub use config::ExecConfig;
 pub use driver::{
     assemble_plan, execute_plan, finish_report, ExecutionReport, PlanAssembly, QueryOutcome,
 };
+/// The sliced query type [`PlanAssembly::sliced_queries`] and
+/// [`finish_report`] carry, nameable without depending on `edgelet-ml`.
+pub use edgelet_ml::grouping::GroupingQuery;
 pub use ledger::Ledger;

@@ -249,16 +249,29 @@ impl MsgStream {
     /// forever). Errors on EOF, socket error, frame corruption, or
     /// timeout expiry — all of which mean the connection is done.
     pub fn recv(&mut self, timeout: Option<Duration>) -> Result<NetMsg> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        self.read_msg(timeout.map(|t| Instant::now() + t))?
+            .ok_or_else(|| Error::Protocol("recv timeout".into()))
+    }
+
+    /// Waits up to `timeout` for the next message. `Ok(None)` means the
+    /// link stayed quiet and is still usable (a partial frame stays
+    /// buffered); `Err` means it is done (EOF, socket error, frame
+    /// corruption).
+    pub fn poll(&mut self, timeout: Duration) -> Result<Option<NetMsg>> {
+        self.read_msg(Some(Instant::now() + timeout))
+    }
+
+    /// Reads until one whole message or `deadline` (`None` = forever).
+    fn read_msg(&mut self, deadline: Option<Instant>) -> Result<Option<NetMsg>> {
         loop {
             if let Some(body) = self.dec.next_frame()? {
-                return from_bytes::<NetMsg>(&body);
+                return from_bytes::<NetMsg>(&body).map(Some);
             }
             let per_read = match deadline {
                 Some(d) => {
                     let left = d.saturating_duration_since(Instant::now());
                     if left.is_zero() {
-                        return Err(Error::Protocol("recv timeout".into()));
+                        return Ok(None);
                     }
                     Some(left)
                 }
@@ -272,7 +285,7 @@ impl MsgStream {
                     self.dec.push(&chunk);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Err(Error::Protocol("recv timeout".into()));
+                    return Ok(None);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(io_err(e)),

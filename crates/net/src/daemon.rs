@@ -28,6 +28,21 @@
 //! transport. The parity argument is in `docs/NET.md`; the
 //! proof-by-test is `tests/net_parity.rs`.
 //!
+//! # One coordinator view per deployment
+//!
+//! The daemon's world never changes for its lifetime: `world_spec` and
+//! `expected_workers` are fixed, and the epoch only stamps envelopes
+//! (the [`WorldBuilder`] contract). So the daemon builds its world
+//! once, lazily on the first distributed epoch and after that epoch's
+//! `Prepare` has gone out (its build overlaps the workers'), and keeps
+//! only what the coordinator reads — the plan, the sliced queries, the
+//! classifier, the window width and the initial `real_pending` /
+//! `min_at` — as a `CoordView`. Every epoch reads that shared view and
+//! collects into a fresh ledger and querier record. Workers still
+//! build their slice once per epoch: running a window mutates it. A
+//! failed build is not cached; that epoch falls back and the next one
+//! tries again (`tests/net_epochs.rs`).
+//!
 //! # Failure = fallback
 //!
 //! Any socket error mid-epoch drops every taken worker connection
@@ -39,9 +54,10 @@
 use crate::conn::{Addr, Listener, MsgStream, Stream, TimerHeap};
 use crate::fault::{FaultVerdict, NetFaultProxy};
 use crate::proto::{NetMsg, Role, WireJEntry, WireRecord, PROTO_VERSION};
+use edgelet_exec::GroupingQuery;
 use edgelet_live::round::fold_min;
-use edgelet_live::{ExitReason, LiveRun, PreparedQuery, RemoteExecutor};
-use edgelet_query::{PrivacyConfig, QuerySpec, ResilienceConfig};
+use edgelet_live::{ExitReason, LiveRun, PayloadClassifier, PreparedQuery, RemoteExecutor};
+use edgelet_query::{PrivacyConfig, QueryPlan, QuerySpec, ResilienceConfig};
 use edgelet_sim::{FaultPlan, SimMetrics, SimTime, Trace};
 use edgelet_util::{Error, Result};
 use edgelet_wire::{from_bytes, Envelope};
@@ -64,9 +80,66 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// order) — the foundation the relay protocol's parity rests on. The
 /// socket layer never interprets the bytes; the host (the CLI) defines
 /// their encoding.
+///
+/// # Contract
+///
+/// The built world is a function of `spec` and `workers` alone: `epoch`
+/// only stamps the envelopes the world will send. Two calls with the
+/// same `spec` and `workers` must give the same plan, the same pending
+/// event count and the same per-slice heap minima whatever their
+/// epochs. The daemon relies on this: it calls `build` once per
+/// deployment and reuses the result for every epoch. Workers call it
+/// once per epoch.
 pub trait WorldBuilder: Send + Sync {
     /// Builds the world for `epoch`, sliced for `workers` processes.
     fn build(&self, spec: &[u8], epoch: u64, workers: usize) -> Result<PreparedQuery>;
+}
+
+/// The epoch-invariant part of the daemon's world: everything the
+/// coordinator reads from its own build. Built from the first
+/// successful [`WorldBuilder::build`] and shared by every later epoch.
+struct CoordView {
+    plan: QueryPlan,
+    sliced_queries: Vec<GroupingQuery>,
+    classifier: Option<PayloadClassifier>,
+    /// Window width: the lookahead, at least 1 µs.
+    width: u64,
+    deadline_us: u64,
+    max_events: u64,
+    trace_capacity: usize,
+    /// Events pending across all slices before the first window.
+    real_pending: u64,
+    /// Earliest pending event across all slices before the first window.
+    min_at: Option<u64>,
+}
+
+impl CoordView {
+    /// Builds the world once and keeps the coordinator's view of it;
+    /// the worker slices are dropped (remote processes hold the real
+    /// ones).
+    fn build(builder: &dyn WorldBuilder, spec: &[u8], epoch: u64, workers: usize) -> Result<Self> {
+        let PreparedQuery {
+            plan,
+            engine,
+            assembly,
+        } = builder.build(spec, epoch, workers)?;
+        let parts = engine.into_parts();
+        let min_at = parts
+            .workers
+            .iter()
+            .fold(None, |m, w| fold_min(m, w.heap_min()));
+        Ok(CoordView {
+            deadline_us: edgelet_sim::Duration::from_secs_f64(plan.spec.deadline_secs).as_micros(),
+            plan,
+            sliced_queries: assembly.sliced_queries,
+            classifier: parts.classifier,
+            width: parts.lookahead_us.max(1),
+            max_events: parts.config.max_events,
+            trace_capacity: parts.config.trace_capacity,
+            real_pending: parts.real_pending,
+            min_at,
+        })
+    }
 }
 
 /// Daemon configuration.
@@ -151,6 +224,8 @@ pub struct Daemon {
     addr: Addr,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
     sweeper_thread: Mutex<Option<JoinHandle<()>>>,
+    /// The coordinator view, built on the first distributed epoch.
+    view: Mutex<Option<Arc<CoordView>>>,
 }
 
 impl Daemon {
@@ -189,6 +264,7 @@ impl Daemon {
             addr: bound,
             accept_thread: Mutex::new(Some(accept_thread)),
             sweeper_thread: Mutex::new(Some(sweeper_thread)),
+            view: Mutex::new(None),
         })
     }
 
@@ -300,8 +376,10 @@ impl Daemon {
     /// Takes every registered worker stream out of the registry,
     /// probing each with a `Ping` (half-open detection: a worker that
     /// was killed leaves a dead socket behind; the probe surfaces it
-    /// now rather than mid-epoch). Returns `None` unless all
-    /// `expected_workers` slots hold live connections.
+    /// now rather than mid-epoch). Every `Ping` goes out before any
+    /// `Pong` is awaited, so the probe costs one round trip, not one
+    /// per worker. Returns `None` unless all `expected_workers` slots
+    /// hold live connections.
     fn take_live_workers(&self) -> Option<Vec<MsgStream>> {
         let mut taken: Vec<(usize, MsgStream)> = {
             let mut reg = lock(&self.shared.registry);
@@ -314,32 +392,32 @@ impl Daemon {
                 .collect()
         };
         let nonce = self.shared.registrations.load(Ordering::Relaxed) ^ 0x6e65_745f_7069_6e67;
-        let mut all_live = true;
-        for (_, stream) in taken.iter_mut() {
-            let live = stream.send(&NetMsg::Ping { nonce }).is_ok()
-                && matches!(
+        let pinged: Vec<bool> = taken
+            .iter_mut()
+            .map(|(_, stream)| stream.send(&NetMsg::Ping { nonce }).is_ok())
+            .collect();
+        let live: Vec<bool> = taken
+            .iter_mut()
+            .zip(pinged)
+            .map(|((_, stream), sent)| {
+                sent && matches!(
                     stream.recv(Some(self.config.io_timeout)),
                     Ok(NetMsg::Pong { nonce: n }) if n == nonce
-                );
-            if !live {
-                all_live = false;
-            }
-        }
-        if all_live {
+                )
+            })
+            .collect();
+        if live.iter().all(|&l| l) {
             return Some(taken.into_iter().map(|(_, s)| s).collect());
         }
-        // Drop dead connections (slots stay free for reconnects); put
-        // live ones back.
+        // Drop dead connections (their slots stay free for reconnects);
+        // put live ones back. Re-probing on the next epoch is cheap and
+        // keeps this branch simple.
         let mut reg = lock(&self.shared.registry);
-        for (i, stream) in taken {
-            // A stream that failed the probe is dropped here; the rest
-            // return to their slots. Re-probing on the next epoch is
-            // cheap and keeps this branch simple.
-            if reg[i].is_none() {
+        for ((i, stream), live) in taken.into_iter().zip(live) {
+            if live && reg[i].is_none() {
                 reg[i] = Some(stream);
             }
         }
-        drop(reg);
         None
     }
 
@@ -352,6 +430,25 @@ impl Daemon {
         }
         drop(reg);
         self.shared.registry_cv.notify_all();
+    }
+
+    /// The cached coordinator view, built on first use. A failed build
+    /// is not cached: its epoch falls back and the next one retries.
+    fn coord_view(&self, epoch: u64, workers: usize) -> Result<Arc<CoordView>> {
+        if let Some(view) = lock(&self.view).clone() {
+            return Ok(view);
+        }
+        // Built outside the lock, which guards a pointer swap only. A
+        // distributed epoch holds every worker link, so at most one
+        // epoch is ever here.
+        let built = Arc::new(CoordView::build(
+            self.builder.as_ref(),
+            &self.config.world_spec,
+            epoch,
+            workers,
+        )?);
+        *lock(&self.view) = Some(Arc::clone(&built));
+        Ok(built)
     }
 
     /// The distributed run of one epoch; `Err` here means "fall back to
@@ -370,28 +467,8 @@ impl Daemon {
             None => None,
         };
 
-        // Build the daemon's own copy of the world: it keeps the plan
-        // and the report-side assembly handles; the worker slices are
-        // dropped (remote processes hold the real ones).
-        let PreparedQuery {
-            plan,
-            engine,
-            assembly,
-        } = self
-            .builder
-            .build(&self.config.world_spec, epoch, worker_count)?;
-        let deadline_us = edgelet_sim::Duration::from_secs_f64(plan.spec.deadline_secs).as_micros();
-        let parts = engine.into_parts();
-        let mut min_at: Option<u64> = None;
-        for w in &parts.workers {
-            min_at = fold_min(min_at, w.heap_min());
-        }
-        drop(parts.workers);
-        let classifier = parts.classifier;
-        let width = parts.lookahead_us.max(1);
-        let max_events = parts.config.max_events;
-
-        // Prepare every worker, then await all Ready acks.
+        // Prepare every worker first: on the first epoch the daemon's
+        // one build of its view then overlaps theirs.
         for (i, stream) in workers.iter_mut().enumerate() {
             stream.send(&NetMsg::Prepare {
                 epoch,
@@ -401,6 +478,7 @@ impl Daemon {
                 fault_mode,
             })?;
         }
+        let view = self.coord_view(epoch, worker_count)?;
         for stream in workers.iter_mut() {
             match stream.recv(Some(self.config.prepare_timeout))? {
                 NetMsg::Ready { epoch: e } if e == epoch => {}
@@ -412,11 +490,23 @@ impl Daemon {
                 other => return Err(Error::Protocol(format!("expected Ready, got {other:?}"))),
             }
         }
+        let CoordView {
+            ref plan,
+            ref sliced_queries,
+            classifier,
+            width,
+            deadline_us,
+            max_events,
+            trace_capacity,
+            mut real_pending,
+            mut min_at,
+        } = *view;
+        let merged_ledger = edgelet_exec::ledger::shared();
+        let querier_record = edgelet_exec::roles::querier::shared_record();
 
         // ---- the window decision loop (run_until's mirror) ----
         let mut metrics = SimMetrics::default();
-        let mut trace = Trace::new(parts.config.trace_capacity);
-        let mut real_pending = parts.real_pending;
+        let mut trace = Trace::new(trace_capacity);
         let mut cell_open_until = 0u64;
         let mut pending_relay: Vec<Vec<Envelope>> = vec![Vec::new(); worker_count];
         let mut journal_scratch: Vec<WireJEntry> = Vec::new();
@@ -546,7 +636,7 @@ impl Daemon {
                     // worker order reconstructs the global ledger
                     // exactly.
                     let partial: edgelet_exec::Ledger = from_bytes(&ledger)?;
-                    lock(&assembly.ledger).merge(&partial);
+                    lock(&merged_ledger).merge(&partial);
                     if let Some(r) = record {
                         final_record = Some(r);
                     }
@@ -561,7 +651,7 @@ impl Daemon {
         let record = final_record
             .ok_or_else(|| Error::Protocol("no worker reported the querier record".into()))?;
         {
-            let mut rec = lock(&assembly.record);
+            let mut rec = lock(&querier_record);
             rec.payload = record.payload;
             rec.completed_at = record.completed_at_us.map(SimTime::from_micros);
             rec.partitions_merged = record.partitions_merged;
@@ -571,16 +661,16 @@ impl Daemon {
         }
 
         let report = edgelet_exec::finish_report(
-            &plan,
-            &assembly.sliced_queries,
-            &assembly.record,
-            &assembly.ledger,
+            plan,
+            sliced_queries,
+            &querier_record,
+            &merged_ledger,
             &metrics,
         )?;
         let trace_digest = trace.enabled().then(|| trace.digest());
         let trace_records = trace.records().cloned().collect();
         Ok(LiveRun {
-            plan,
+            plan: plan.clone(),
             report,
             trace_digest,
             trace: trace_records,

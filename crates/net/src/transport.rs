@@ -93,7 +93,7 @@ impl SocketTransport {
                     }
                 }
             })
-            .expect("spawn transport reader");
+            .map_err(|e| edgelet_util::Error::Protocol(format!("spawn transport reader: {e}")))?;
         Ok(SocketTransport {
             writer: Mutex::new(MsgStream::new(stream)),
             shared,

@@ -18,10 +18,12 @@
 //! the epoch runs in fault mode, in which case *all* lanes route
 //! through the daemon so the fault proxy observes every envelope.
 //!
-//! Daemon death (EOF or any protocol error) drops all epoch state and
-//! re-enters the reconnect loop — a fresh `Prepare` rebuilds the world
-//! deterministically, so a worker surviving a daemon restart poisons
-//! nothing.
+//! A worker builds its world once per epoch (running windows mutates
+//! its slice); the daemon, by contrast, builds its coordinator view
+//! once per deployment. Daemon death (EOF or any protocol error) drops
+//! all epoch state and re-enters the reconnect loop — a fresh `Prepare`
+//! rebuilds the world deterministically, so a worker surviving a
+//! daemon restart poisons nothing.
 
 use crate::conn::{Addr, Backoff, MsgStream, Stream, TimerHeap};
 use crate::daemon::WorldBuilder;
@@ -296,15 +298,10 @@ fn connect_session(
             return Ok(());
         }
         // Poll-style receive so `stop` is observed between messages.
-        let msg = match ms.recv(Some(Duration::from_millis(500))) {
-            Ok(m) => m,
-            Err(e) => {
-                let s = format!("{e:?}");
-                if s.contains("timeout") {
-                    continue;
-                }
-                return Err(disc(format!("recv: {s}")));
-            }
+        let msg = match ms.poll(Duration::from_millis(500)) {
+            Ok(Some(m)) => m,
+            Ok(None) => continue,
+            Err(e) => return Err(disc(format!("recv: {e:?}"))),
         };
         match msg {
             NetMsg::Ping { nonce } => {
