@@ -10,6 +10,8 @@ use edgelet_crypto::sha256::sha256;
 use edgelet_util::ids::DeviceId;
 use edgelet_util::rng::DetRng;
 use edgelet_util::{Error, Result};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A directory record for one enrolled device.
 #[derive(Debug, Clone)]
@@ -40,9 +42,23 @@ impl DirectoryEntry {
 }
 
 /// Registry of enrolled devices.
-#[derive(Debug, Clone, Default)]
+///
+/// The contributors' identity-key hashes are cached lazily per crowd:
+/// the first [`Directory::assign_contributors`] computes them, later
+/// calls reuse them, and [`Directory::enroll`] drops the cache.
+#[derive(Clone, Default)]
 pub struct Directory {
     entries: Vec<DirectoryEntry>,
+    /// `(device, key_hash)` for every contributor, in enrollment order.
+    contributor_hashes: OnceLock<Vec<(DeviceId, u64)>>,
+}
+
+impl fmt::Debug for Directory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Directory")
+            .field("entries", &self.entries)
+            .finish()
+    }
 }
 
 impl Directory {
@@ -64,6 +80,7 @@ impl Directory {
         for chunk in identity_key.chunks_mut(8) {
             chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
         }
+        self.contributor_hashes = OnceLock::new();
         self.entries.push(DirectoryEntry {
             device,
             class,
@@ -130,13 +147,20 @@ impl Directory {
     }
 
     /// Buckets contributors among `buckets` Snapshot Builders by hashing
-    /// their identity keys (the paper's Figure 2 assignment).
+    /// their identity keys (the paper's Figure 2 assignment). The hashes
+    /// are computed on the first call and reused until the next enroll.
     pub fn assign_contributors(&self, buckets: usize) -> Vec<Vec<DeviceId>> {
         assert!(buckets > 0, "at least one bucket required");
+        let hashes = self.contributor_hashes.get_or_init(|| {
+            self.entries
+                .iter()
+                .filter(|e| e.contributes_data)
+                .map(|e| (e.device, e.key_hash()))
+                .collect()
+        });
         let mut out = vec![Vec::new(); buckets];
-        for e in self.entries.iter().filter(|e| e.contributes_data) {
-            let b = (e.key_hash() % buckets as u64) as usize;
-            out[b].push(e.device);
+        for &(device, hash) in hashes {
+            out[(hash % buckets as u64) as usize].push(device);
         }
         out
     }
@@ -220,6 +244,56 @@ mod tests {
         // Deterministic: same directory, same assignment.
         let again = dir.assign_contributors(10);
         assert_eq!(buckets, again);
+    }
+
+    /// The uncached reference: bucket every contributor by its own
+    /// `key_hash`.
+    fn bucket_directly(dir: &Directory, buckets: usize) -> Vec<Vec<DeviceId>> {
+        let mut out = vec![Vec::new(); buckets];
+        for e in dir.entries().iter().filter(|e| e.contributes_data) {
+            out[(e.key_hash() % buckets as u64) as usize].push(e.device);
+        }
+        out
+    }
+
+    #[test]
+    fn cached_assignment_equals_direct_bucketing() {
+        let mut dir = Directory::new();
+        let mut rng = DetRng::new(4);
+        for i in 0..1_000u64 {
+            let class = DeviceClass::ALL[(i % 3) as usize];
+            dir.enroll(DeviceId::new(i), class, i % 5 != 0, i % 4 == 0, &mut rng);
+        }
+        for buckets in [1, 7, 64] {
+            assert_eq!(
+                dir.assign_contributors(buckets),
+                bucket_directly(&dir, buckets)
+            );
+        }
+    }
+
+    #[test]
+    fn enroll_after_assignment_is_seen() {
+        let mut dir = build(20);
+        let before = dir.assign_contributors(4);
+        assert_eq!(before.iter().map(Vec::len).sum::<usize>(), 20);
+        let mut rng = DetRng::new(77);
+        dir.enroll(DeviceId::new(20), DeviceClass::SgxPc, true, false, &mut rng);
+        let after = dir.assign_contributors(4);
+        assert_eq!(after.iter().map(Vec::len).sum::<usize>(), 21);
+        assert!(after.iter().flatten().any(|&d| d == DeviceId::new(20)));
+        assert_eq!(after, bucket_directly(&dir, 4));
+        // A clone carries the warm cache and stays correct.
+        assert_eq!(dir.clone().assign_contributors(4), after);
+    }
+
+    #[test]
+    fn debug_output_omits_the_cache() {
+        let dir = build(2);
+        let cold = format!("{dir:?}");
+        dir.assign_contributors(2);
+        assert_eq!(format!("{dir:?}"), cold);
+        assert!(cold.starts_with("Directory { entries: ["));
     }
 
     #[test]
